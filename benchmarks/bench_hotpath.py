@@ -1,18 +1,18 @@
 """Hot-path perf-regression bench (cold vs warmed caches/pool).
 
 Measures the wall-clock effect of the hot-path machinery — the plan
-caches, the buffer pool, shared-codebook sharding and the compiled
-compress/decode plans — via
-:func:`repro.perf.regression.run_hotpath_suite`, and gates on
+caches, the buffer pool, shared-codebook sharding, the compiled
+compress/decode plans and slab threads — via
+:func:`repro.perf.regression.run_hotpath_suite`, with a new seeded field
+for every timed call, and gates on
 :func:`repro.perf.regression.check_regressions`: the warmed path must
 never be slower than the cold path, and the compiled executors must be
 identical to the interpreter (bytes out on the write side, values out
 on the read side) and never slower.  The ``threaded`` section must stay
 byte-identical to ``threads=1`` at every slab width on any machine, and
 on runners with >= 4 cores its warm compiled compress must reach the
-1.7x-vs-one-thread target; ``--strict`` additionally ratchets the other
-targets (compress >= 274 MB/s warm, compiled decompress >= 1.5x the
-warm interpreter).
+1.7x-vs-one-thread target; ``--strict`` additionally enforces the
+fresh-input targets (``TARGET_*`` in :mod:`repro.perf.regression`).
 
 Two entry points:
 

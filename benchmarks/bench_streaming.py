@@ -60,8 +60,8 @@ def _write_field_slabwise(path: str, shape: tuple[int, ...],
                           slab_rows: int = 32) -> None:
     """Generate the bench field on disk one slab at a time.
 
-    Same recipe as the hot-path suite's ``_bench_field`` (smooth sums of
-    sines, realistic compressibility) but never materialised whole — the
+    The smooth sums of sines of the hot-path suite's ``_bench_field``
+    (without its seeded random walk) but never materialised whole — the
     point of this bench is that nothing, input included, is ever
     field-sized in memory.
     """
@@ -286,9 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = check_regressions({
         "streaming": section,
         "checks": {"warm_decompress_not_slower": True,
-                   "warm_compress_not_slower": True,
-                   "target_warm_decompress_1.5x": True,
-                   "target_warm_sharded_1.2x": True},
+                   "warm_compress_not_slower": True},
     })
     for msg in failures:
         print(f"REGRESSION: {msg}", file=sys.stderr)

@@ -7,6 +7,11 @@ a stream of fields; a naive modular pipeline redoes it on every call.  The
 a digest of the *content* they were derived from, so any call anywhere in
 the process that needs the same plan gets the cached instance back.
 
+Only setup work is cached, never a call's output: encoded and decoded
+symbol streams are recomputed on every call, so a benchmark of new data
+measures the real entropy stage and every decode validates its own
+stream.
+
 Plans cached today
 ------------------
 * canonical Huffman codebooks, keyed by ``(histogram digest, max_len)``
@@ -16,13 +21,6 @@ Plans cached today
   its canonical codes *and* its ``2**max_len``-entry wavefront decode
   tables materialised — keyed by ``(lengths digest, max_len)``
   (:func:`repro.kernels.huffman.decode`);
-* encoded streams — the packed :class:`~repro.kernels.huffman.HuffmanEncoded`
-  for a symbol array, keyed by the digests of the symbols and the
-  codebook: re-compressing content already seen (repeated snapshots, the
-  warm half of an A/B run) skips the bit-packing pass entirely;
-* decoded streams — the symbol array recovered from a payload, keyed by
-  the digests of the payload, codebook and chunk tables: re-reading a hot
-  container skips the wavefront decode.  Cached arrays are read-only;
 * resolved module tables for header-driven decompression, keyed by the
   registry generation and the header's stage->name map
   (:func:`repro.core.pipeline.decompress`);
@@ -76,9 +74,8 @@ def digest(*parts: bytes | bytearray | memoryview | np.ndarray | int | str
     Arrays are hashed over their raw bytes together with dtype and shape,
     so two arrays with equal bytes but different views cannot collide.
 
-    sha256 (truncated to 128 bits) rather than blake2b: the hot caches
-    digest multi-megabyte code/payload arrays on every warm hit, and
-    SHA-NI hardware makes sha256 ~2x faster per byte here.
+    sha256 (truncated to 128 bits) rather than blake2b: SHA-NI hardware
+    makes sha256 ~2x faster per byte here.
     """
     h = hashlib.sha256()
     for part in parts:
@@ -279,14 +276,6 @@ CODEBOOK_CACHE = PlanCache("huffman.codebook")
 #: (a 2**16-entry table pair is ~325 KiB, so ~48 warm books fit the budget)
 DECODE_TABLE_CACHE = PlanCache("huffman.decode_tables", max_entries=48,
                                max_bytes=32 << 20)
-
-#: packed HuffmanEncoded streams, keyed by (symbols, codebook) digests
-ENCODE_STREAM_CACHE = PlanCache("huffman.encode_streams", max_entries=64,
-                                max_bytes=96 << 20)
-
-#: decoded symbol arrays, keyed by (payload, codebook, chunk-table) digests
-DECODE_STREAM_CACHE = PlanCache("huffman.decode_streams", max_entries=64,
-                                max_bytes=96 << 20)
 
 #: resolved (stage -> module instance) tables for container decompression
 MODULE_TABLE_CACHE = PlanCache("pipeline.modules", max_entries=128,

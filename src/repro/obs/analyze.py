@@ -600,7 +600,7 @@ def render_analysis(report: dict) -> str:
             f"{_fmt_secs(row['exclusive_s']):>10}  "
             f"{_fmt_mbs(row):>14}  {lanes}")
     if report.get("ceiling_mb_s"):
-        lines.append(f"  (MB/s %% of warm-path ceiling "
+        lines.append(f"  (MB/s % of warm-path ceiling "
                      f"{report['ceiling_mb_s']:.1f} MB/s)")
 
     cp = report["critical_path"]

@@ -11,8 +11,9 @@ pieces the compiled plans need:
   ``FZMOD_THREADS`` environment variable / "auto" into a worker count;
 * :class:`SlabPool` and :func:`shared_pool` — a lazily-created,
   persistent process-wide thread pool (warm calls pay zero pool
-  spin-up) with ordered fan-out/fan-in and an inline guard so slab
-  tasks that themselves reach the pool never deadlock;
+  spin-up; a forked child starts its own) with ordered fan-out/fan-in
+  and an inline guard so slab tasks that themselves reach the pool
+  never deadlock;
 * :func:`thread_arena` — a per-thread :class:`~repro.runtime.memory.
   BufferPool` with a private allocator and metrics registry, so slab
   workers acquire scratch without contending on the global pool's lock
@@ -193,6 +194,22 @@ class SlabPool:
 
 _POOL: SlabPool | None = None
 _POOL_LOCK = threading.Lock()
+
+
+def _forget_pool_after_fork() -> None:
+    """Drop the parent's pool in a forked child.
+
+    ``fork()`` copies the pool object but none of its worker threads, so
+    the first fan-out in the child would wait forever on work nobody
+    runs (and the lock may have been held mid-fork).  The child builds
+    its own pool on first use instead.
+    """
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def shared_pool(workers: int | None = None) -> SlabPool:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import decompress, fzmod_default, get_preset
-from repro.parallel import compress_sharded
+from repro.parallel.executor import compress_sharded
 from repro.types import EbMode
 
 

@@ -2,8 +2,10 @@
 
 The timing loop and the check logic are exercised with fakes; one real
 quick-suite run (single repeat) validates the report structure end to
-end and the hard gate that the warmed path is never slower than cold —
-the warm/cold gap is several-fold, so this is robust to CI noise.
+end, that every call drew a new field, and the deterministic gates (byte
+and value identity).  Its wall-clock comparisons are gated in the bench
+lane (``benchmarks/bench_hotpath.py``), never here: on fresh inputs the
+gaps they compare are a few percent, inside one run's noise.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.regression import (_traced_stages, best_seconds,
-                                   check_regressions, check_results, diff,
+from repro.perf import regression
+from repro.perf.regression import (TARGET_COMPILED_DECODE,
+                                   TARGET_WARM_SHARDED, _traced_stages,
+                                   best_seconds, check_regressions,
+                                   check_results, diff, fresh_seconds,
                                    median_seconds, render_diff,
                                    render_report, run_hotpath_suite,
                                    write_report)
-from repro.runtime.memory import sanitizing_enabled
 
 
 class TestMedianSeconds:
@@ -50,6 +54,30 @@ class TestMedianSeconds:
         assert result == 4                           # last call's value
         assert t >= 0.0
 
+    def test_fresh_seconds_new_input_per_call(self):
+        order = []
+        inputs = iter(range(100))
+
+        def make():
+            return next(inputs)
+
+        timed = fresh_seconds(
+            {"a": lambda x: order.append(("a", x)) or x * 10,
+             "b": lambda x: order.append(("b", x)) or x * 100},
+            make, warmup=1, repeat=2,
+            setup={"a": lambda: order.append(("setup-a",))})
+        # arms alternate order round by round, each call on a new input
+        assert order == [("setup-a",), ("a", 0), ("b", 1),
+                         ("b", 2), ("setup-a",), ("a", 3),
+                         ("setup-a",), ("a", 4), ("b", 5)]
+        assert timed["a"][1:] == (4, 40) and timed["b"][1:] == (5, 500)
+        assert timed["a"][0] >= 0.0 and timed["b"][0] >= 0.0
+
+    def test_fresh_seconds_reduce(self):
+        timed = fresh_seconds({"a": lambda x: None}, lambda: 0, warmup=0,
+                              repeat=3, reduce=lambda ts: -len(ts))
+        assert timed["a"][0] == -3                   # 3 timed, no warmup
+
 
 def _fake_report(warm_d=1.0, cold_d=2.0, warm_c=1.0, cold_c=2.0,
                  warm_s=1.0, cold_s=2.0) -> dict:
@@ -73,18 +101,44 @@ class TestChecks:
         assert len(failures) == 1 and "decompress" in failures[0]
 
     def test_targets_only_gate_in_strict_mode(self):
-        # 1.3x decompress: above 1.0 (no regression) but below the 1.5x goal
-        report = _fake_report(warm_d=1.0, cold_d=1.3)
+        # sharded compress has no hard gate: a speedup under its target
+        # fails only the strict run
+        report = _fake_report(warm_s=1.0, cold_s=0.9 * TARGET_WARM_SHARDED)
         report["checks"] = check_results(report)
-        assert not report["checks"]["target_warm_decompress_1.5x"]
+        assert not report["checks"]["target_warm_sharded"]
         assert check_regressions(report) == []
-        assert any("1.5x" in f
+        assert any(f"{TARGET_WARM_SHARDED}x target" in f
                    for f in check_regressions(report, strict=True))
 
 
 @pytest.fixture(scope="module")
-def quick_report() -> dict:
-    return run_hotpath_suite(quick=True, warmup=1, repeat=1)
+def quick_run() -> tuple[dict, list[int]]:
+    """One quick suite run, plus the seed of every field it generated."""
+    seeds: list[int] = []
+    real = regression._bench_field
+
+    def spy(shape, seed):
+        seeds.append(seed)
+        return real(shape, seed)
+
+    regression._bench_field = spy
+    try:
+        report = run_hotpath_suite(quick=True, warmup=1, repeat=1)
+    finally:
+        regression._bench_field = real
+    return report, seeds
+
+
+@pytest.fixture(scope="module")
+def quick_report(quick_run) -> dict:
+    return quick_run[0]
+
+
+#: the identity flags every quick report must carry (and pass)
+IDENTITY_CHECKS = {"telemetry_blob_identical", "profiler_blob_identical",
+                   "compiled_blob_identical",
+                   "compiled_decode_value_identical",
+                   "threaded_blob_identical", "threaded_value_identical"}
 
 
 class TestSuite:
@@ -93,15 +147,21 @@ class TestSuite:
         assert set(quick_report) >= {"config", "single", "sharded",
                                      "hotpath", "peak_bytes", "checks"}
         hp = quick_report["hotpath"]
-        assert hp["plan_caches"]["huffman.decode_streams"]["hits"] > 0
+        # spec-keyed plans are reused across fresh inputs; content-keyed
+        # codebooks are rebuilt for every new histogram
+        assert hp["plan_caches"]["compile.plans"]["hits"] > 0
+        assert hp["plan_caches"]["huffman.codebook"]["misses"] > 0
         assert hp["buffer_pool"]["hits"] > 0
 
-    @pytest.mark.skipif(
-        sanitizing_enabled(),
-        reason="contract sanitizer poisons every pool release; wall-clock "
-               "warm-vs-cold gates are meaningless under it")
-    def test_warm_never_slower(self, quick_report):
-        assert check_regressions(quick_report) == []
+    def test_every_field_is_new(self, quick_run):
+        _, seeds = quick_run
+        assert len(seeds) > 30                       # one per timed call
+        assert len(set(seeds)) == len(seeds)
+
+    def test_deterministic_gates_pass(self, quick_report):
+        checks = quick_report["checks"]
+        assert IDENTITY_CHECKS <= set(checks)
+        assert all(checks[name] for name in IDENTITY_CHECKS)
 
     def test_render_and_write(self, quick_report, tmp_path):
         text = render_report(quick_report)
@@ -162,7 +222,7 @@ class TestCompiledDecodeSection:
         checks = quick_report["checks"]
         assert checks["compiled_decode_value_identical"]
         assert "compiled_decode_not_slower_than_interpreted" in checks
-        assert "target_compiled_decode_1.5x" in checks
+        assert "target_compiled_decode" in checks
 
     def test_fakes_without_section_still_check(self):
         checks = check_results(_fake_report())
@@ -182,12 +242,13 @@ class TestCompiledDecodeSection:
                    for f in check_regressions(report))
 
     def test_decode_target_only_gates_in_strict_mode(self):
-        # 1.2x: faster than the interpreter (no regression) but below goal
         report = _fake_report()
-        report["compiled_decompress"] = _fake_decode_section(speedup=1.2)
+        report["compiled_decompress"] = _fake_decode_section(
+            speedup=0.99 * TARGET_COMPILED_DECODE)
         report["checks"] = check_results(report)
-        assert not report["checks"]["target_compiled_decode_1.5x"]
-        assert check_regressions(report) == []
+        assert not report["checks"]["target_compiled_decode"]
+        assert not any("vs-interpreted" in f
+                       for f in check_regressions(report))
         assert any("vs-interpreted" in f
                    for f in check_regressions(report, strict=True))
 

@@ -3,11 +3,13 @@
 Covers thread-count resolution (explicit / env / auto-by-size), slab
 partitioning, the pool's ordered fan-out semantics (result order,
 deterministic failure choice, inline nesting guard), per-thread arena
-privacy and the grow-on-demand shared pool.
+privacy, the grow-on-demand shared pool and its reset in forked
+children.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import pytest
@@ -156,3 +158,26 @@ class TestSharedPool:
         with th.thread_budget(6):
             assert th.active_threads() == 6
         assert th.active_threads() == 0
+
+    def test_forked_child_gets_a_working_pool(self):
+        # the parent's pool threads do not survive fork(); a child that
+        # fans out on the inherited pool object would wait forever.  The
+        # barrier makes the parent start every worker thread, so the
+        # inherited executor believes it needs no new ones
+        pool = th.shared_pool(2)
+        barrier = threading.Barrier(pool.workers)
+        pool.run_ordered(lambda _: barrier.wait(timeout=10),
+                         list(range(pool.workers)))
+
+        def child() -> None:
+            ok = th.run_slabs(lambda k: k * 2, [1, 2, 3], threads=2)
+            raise SystemExit(0 if ok == [2, 4, 6] else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=30)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child hung on the inherited slab pool")
+        assert proc.exitcode == 0
