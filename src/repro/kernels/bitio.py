@@ -7,7 +7,13 @@ they model.  This module provides the shared primitives:
 * :func:`pack_varlen` / :func:`unpack_windows` — pack per-symbol variable
   length codes into a byte stream (the core of the Huffman encoder) and read
   a fixed-width window at *every* bit offset of a stream (the core of the
-  wavefront-parallel Huffman decoder).
+  segmented Huffman decoder).  Both work in word lanes, not bits:
+  ``pack_varlen`` places each code at its bit offset inside the 64-bit
+  big-endian word it starts in, ORs the codes that start in the same word
+  together with one ``bitwise_or.reduceat``, and ORs the spill of each
+  word's last code into the next word; ``unpack_windows`` builds one
+  32-bit big-endian word per *byte* and shifts it eight ways, one per bit
+  phase.  Neither materialises an array with one element per bit.
 * :func:`pack_fixed` / :func:`unpack_fixed` — pack ``n`` values of a uniform
   bit width (cuSZp2-style fixed-length blocks).
 
@@ -45,19 +51,37 @@ def pack_varlen(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         raise CodecError("codes and lengths must be 1-D arrays of equal shape")
     if codes.size == 0:
         return b"", 0
-    if lengths.min() < 1 or lengths.max() > 32:
+    max_len = int(lengths.max())
+    if lengths.min() < 1 or max_len > 32:
         raise CodecError("code lengths must be in [1, 32]")
 
-    total_bits = int(lengths.sum())
-    # Bit index of the first bit of each symbol in the output stream.
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    # For every output bit: which symbol does it come from, and which bit of
-    # that symbol's code is it (0 == most significant of the code)?
-    sym_of_bit = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
-    bit_in_sym = np.arange(total_bits, dtype=np.int64) - np.repeat(starts, lengths)
-    shift = (lengths[sym_of_bit] - 1 - bit_in_sym).astype(np.uint32)
-    bits = ((codes[sym_of_bit] >> shift) & np.uint32(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total_bits
+    lens = lengths.astype(np.uint64)
+    pos = np.cumsum(lens)
+    total_bits = int(pos[-1])
+    pos -= lens                            # start bit of every code
+    word = pos >> np.uint64(6)
+    # every code at the top of a 64-bit value, which also drops any bits
+    # above its length, then down to its bit offset inside its word
+    top = codes.astype(np.uint64)
+    top <<= np.subtract(np.uint64(64), lens, out=lens)
+    pos &= np.uint64(63)
+    head = top >> pos
+    # codes are in stream order, so the ones starting in the same word
+    # form runs; their bits do not overlap and OR into one word per run
+    run = np.flatnonzero(word[1:] != word[:-1])
+    run += 1
+    last = np.append(run - 1, word.size - 1)   # last code of every run
+    run = np.concatenate(([0], run))
+    first_word = word[run].astype(np.int64)
+    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
+    words[first_word] = np.bitwise_or.reduceat(head, run)
+    # only a run's last code can spill into the next word: its bits below
+    # the word end (two shifts, since a shift by 64 is undefined)
+    words[first_word + 1] |= ((top[last] << (np.uint64(63) - pos[last]))
+                              << np.uint64(1))
+    # big-endian words are the MSB-first byte stream
+    nbytes = (total_bits + 7) // 8
+    return words.byteswap().view(np.uint8)[:nbytes].tobytes(), total_bits
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:
@@ -78,30 +102,33 @@ def unpack_windows(payload: bytes, total_bits: int, width: int) -> np.ndarray:
 
     Returns a ``uint32`` array ``w`` of length ``total_bits`` where ``w[p]``
     is the value of bits ``p .. p+width-1`` of the stream (bits past the end
-    read as zero).  This is the enabling primitive for the wavefront-parallel
-    canonical-Huffman decoder in :mod:`repro.kernels.huffman`: a decode table
-    indexed by ``w[p]`` yields the symbol and code length at offset ``p``
-    for all ``p`` simultaneously.
+    read as zero).  This is the enabling primitive for the segmented
+    canonical-Huffman decoder in :mod:`repro.kernels.huffman`: a decode
+    table indexed by ``w[p]`` yields the symbol and code length at offset
+    ``p`` for all ``p`` simultaneously.
+
+    One 32-bit big-endian word is built per *byte* of the stream; the
+    window at bit ``8k + j`` is that word of byte ``k`` shifted right by
+    ``32 - width - j``, so the result is the ``(nbytes, 8)`` array of the
+    eight bit phases, flattened.
     """
     if width < 1 or width > 24:
         raise CodecError("window width must be in [1, 24]")
     if total_bits == 0:
         return np.zeros(0, dtype=np.uint32)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    # Pad so every window read of ceil((width+7)/8)+1 bytes is in bounds.
-    need = (total_bits + 7) // 8 + 4
-    if raw.size < need:
-        raw = np.concatenate([raw, np.zeros(need - raw.size, dtype=np.uint8)])
-    b = raw.astype(np.uint64)
-    byte0 = np.arange(total_bits, dtype=np.int64) // 8
-    bit0 = np.arange(total_bits, dtype=np.int64) % 8
-    # Assemble a 32-bit big-endian word starting at byte0, then shift so the
-    # requested window lands in the low `width` bits.
-    word = (b[byte0] << np.uint64(24)) | (b[byte0 + 1] << np.uint64(16)) \
-        | (b[byte0 + 2] << np.uint64(8)) | b[byte0 + 3]
-    win = (word >> (np.uint64(32 - width) - bit0.astype(np.uint64))) \
-        & np.uint64((1 << width) - 1)
-    return win.astype(np.uint32)
+    nbytes = (total_bits + 7) // 8
+    raw = np.frombuffer(payload, dtype=np.uint8)[:nbytes]
+    # three zero bytes of padding so every word read is in bounds
+    b = np.zeros(nbytes + 3, dtype=np.uint32)
+    b[:raw.size] = raw
+    word = b[:nbytes] << 24
+    word |= b[1:nbytes + 1] << 16
+    word |= b[2:nbytes + 2] << 8
+    word |= b[3:nbytes + 3]
+    shifts = np.arange(32 - width, 24 - width, -1, dtype=np.uint32)
+    win = word[:, None] >> shifts
+    win &= np.uint32((1 << width) - 1)
+    return win.reshape(-1)[:total_bits]
 
 
 def pack_fixed(values: np.ndarray, width: int) -> bytes:

@@ -1,4 +1,4 @@
-"""Canonical Huffman codec with chunked, wavefront-parallel decoding.
+"""Canonical Huffman codec with chunked, segmented decoding.
 
 This models cuSZ's Huffman stage faithfully in structure:
 
@@ -9,13 +9,22 @@ This models cuSZ's Huffman stage faithfully in structure:
   code length per symbol.
 * **Coarse-grained chunking**: symbols are encoded in independent,
   byte-aligned chunks (as cuSZ does for its GPU codec) so chunks can be
-  decoded concurrently and memory stays bounded.
-* **Wavefront-doubling decoder**: within a chunk, a decode table indexed by
-  the ``max_len``-bit window at *every* bit offset yields ``(symbol,
-  length)`` for all offsets at once; the symbol boundary chain starting at
-  offset 0 is then extracted with pointer doubling — ``ceil(log2(n))``
-  vectorised gathers instead of a per-symbol loop.  This is the NumPy
-  analogue of parallel-prefix Huffman decoding on GPUs.
+  decoded concurrently and memory stays bounded.  Codes are packed by
+  :func:`repro.kernels.bitio.pack_varlen` in 64-bit word lanes.
+* **Segmented self-synchronising decoder**: within a chunk, a decode
+  table indexed by the ``max_len``-bit window at *every* bit offset
+  yields the code length at every offset, hence ``nxt[p]``, the offset
+  of the symbol after one starting at ``p``.  The chunk is cut into
+  segments of a few thousand bits and one walker per segment follows
+  ``nxt`` from the segment's first bit, all walkers in lockstep with one
+  gather per step.  Only the first walker starts on a symbol boundary,
+  but Huffman codes self-synchronise: continued past its segment,
+  every walker soon lands on an offset the next walker visited, and from
+  there the two walks agree, so the walks stitch into the exact boundary
+  chain (see :func:`_segment_walk`).  Books whose walks never merge —
+  every code of length 6, say — fall back to pointer doubling over
+  ``nxt`` (``ceil(log2(n))`` vectorised gathers).  This is the NumPy
+  analogue of the self-synchronising parallel Huffman decoders on GPUs.
 
 Encoding and decoding are exact inverses for arbitrary symbol streams.
 """
@@ -243,7 +252,7 @@ def warm_decode_book(lengths: np.ndarray, max_len: int, *,
     """A :class:`Codebook` with canonical codes and dense decode tables
     already materialised, served from the plan cache.
 
-    The ``2**max_len``-entry wavefront tables are the dominant per-call
+    The ``2**max_len``-entry decode tables are the dominant per-call
     setup cost of :func:`decode`; keying them by the digest of the
     serialised lengths array means every container written with the same
     codebook (all shards of a shared-codebook run, every re-read of the
@@ -361,58 +370,187 @@ def encode(symbols: np.ndarray, book: Codebook,
         return enc
 
 
-def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
-                  tsym: np.ndarray, tlen: np.ndarray, max_len: int) -> np.ndarray:
-    """Wavefront-doubling decode of one chunk."""
-    if nsyms == 0:
-        return np.zeros(0, dtype=np.uint32)
-    if len(payload) < (nbits + 7) // 8:
-        raise CodecError("Huffman chunk payload shorter than its bit length")
-    windows = unpack_windows(payload, nbits, max_len)
-    sym_at = tsym[windows]
-    len_at = tlen[windows].astype(np.int64)
-    if bool((len_at == 0).any()):
-        raise CodecError("corrupt Huffman stream: unknown code window")
-    # next[p] = bit offset of the following symbol; sentinel self-loop at end.
-    jump = np.minimum(np.arange(nbits, dtype=np.int64) + len_at, nbits)
-    jump = np.concatenate([jump, np.asarray([nbits], dtype=np.int64)])
-    positions = np.empty(nsyms, dtype=np.int64)
+#: Bits per lockstep walker of the segmented decoder.  Chunks shorter
+#: than ``_MIN_WALKERS`` segments use shorter segments, down to
+#: ``_MIN_SEGMENT_BITS``, so a small chunk is not one long serial walk.
+#: Segment lengths are multiples of 64, so in a book whose codes all
+#: share one power-of-two length every walker starts on a boundary.
+_SEGMENT_BITS = 4096
+_MIN_SEGMENT_BITS = 512
+_MIN_WALKERS = 64
+
+#: Windows per decode-table lookup block.
+_LOOKUP_BLOCK = 1 << 16
+
+
+def _segment_bits(nbits: int) -> int:
+    """Segment length the decoder uses for a chunk of ``nbits`` bits."""
+    return max(_MIN_SEGMENT_BITS,
+               min(_SEGMENT_BITS, nbits // _MIN_WALKERS // 64 * 64))
+
+
+def _segment_walk(nxt: np.ndarray, nbits: int,
+                  min_len: int) -> np.ndarray | None:
+    """Symbol start offsets of a chunk, found by walking its segments in
+    lockstep; ``None`` if some walker fails to resynchronise.
+
+    ``nxt[p]`` is the offset of the symbol after one starting at ``p``
+    (parked at ``nbits``), at least ``min_len`` bits on.  One walker
+    starts at the first bit of each segment and steps through it, one
+    gather per step for all walkers.  Only walker 0 starts on a symbol
+    boundary, but Huffman codes self-synchronise: walker k, continued
+    past its segment end, soon lands on an offset walker k+1 visited, and
+    from that merge point on the two walks are the same.  The true
+    boundaries are therefore walker 0's offsets, plus every later
+    walker's offsets from its merge point on, plus the bridge offsets
+    each walker took before merging — exact by induction over the
+    segments.  A walker that does not merge within one further segment
+    returns ``None`` (some books never resynchronise, e.g. one where
+    every code has length 6).
+    """
+    seg = _segment_bits(nbits)
+    nseg = max(1, nbits // seg)
+    starts = np.arange(nseg, dtype=nxt.dtype) * seg
+    ends = starts + seg
+    ends[-1] = nbits                      # the last segment takes the rest
+    # each step moves a walker >= min_len bits (or parks it at nbits), so
+    # the longest segment bounds the steps; only written rows are committed
+    rows = -(-int(ends[-1] - starts[-1]) // min_len) + 17
+    trace = np.empty((rows, nseg), dtype=nxt.dtype)
+    trace[0] = starts
+    step = 0
+    while True:
+        np.take(nxt, trace[step], out=trace[step + 1])
+        step += 1
+        if step % 16 == 0 and not (trace[step] < ends).any():
+            break
+    trace = trace[:step + 1]
+    inside = trace < ends
+    on_chain = np.zeros(nbits + 1, dtype=bool)
+    on_chain[trace[inside]] = True
+    if nseg == 1:
+        return np.flatnonzero(on_chain[:nbits])
+    # continue walker k from its first offset past its segment until it
+    # lands on an offset walker k+1 visited inside segment k+1
+    walker = np.arange(nseg - 1)
+    pos = trace[inside.sum(axis=0)[:-1], walker]
+    limit = ends[1:]
+    merge = np.empty(nseg - 1, dtype=nxt.dtype)
+    bridges = []
+    while walker.size:
+        if (pos >= limit).any():
+            return None
+        hit = on_chain[pos]
+        merge[walker[hit]] = pos[hit]
+        walker, pos, limit = walker[~hit], pos[~hit], limit[~hit]
+        bridges.append(pos)
+        pos = nxt[pos]
+    # drop each walker's offsets before its merge point, add the bridges
+    first = np.concatenate((np.zeros(1, dtype=nxt.dtype), merge))
+    on_chain[trace[inside & (trace < first)]] = False
+    on_chain[np.concatenate(bridges)] = True
+    return np.flatnonzero(on_chain[:nbits])
+
+
+def _doubling_walk(nxt: np.ndarray, nsyms: int) -> np.ndarray:
+    """The first ``nsyms`` offsets of the chain from offset 0, by pointer
+    doubling (``nxt`` squared each round) — the decoder's fallback for
+    books that never resynchronise."""
+    positions = np.empty(nsyms, dtype=nxt.dtype)
     positions[0] = 0
     known = 1
+    jump = nxt
     while known < nsyms:
         take = min(known, nsyms - known)
         positions[known:known + take] = jump[positions[:take]]
         known += take
         if known < nsyms:
             jump = jump[jump]  # next^(2k)
-    if bool((positions >= nbits).any()):
+    return positions
+
+
+def _decode_chunk(payload: bytes, nbits: int, nsyms: int,
+                  tsym: np.ndarray, tlen: np.ndarray, max_len: int) -> np.ndarray:
+    """Segmented decode of one chunk (pointer doubling as the fallback)."""
+    if nsyms == 0:
+        return np.zeros(0, dtype=np.uint32)
+    if len(payload) < (nbits + 7) // 8:
+        raise CodecError("Huffman chunk payload shorter than its bit length")
+    windows = unpack_windows(payload, nbits, max_len)
+    # table lookups in blocks: the index cast each lookup makes stays
+    # cache-sized instead of 8 bytes per bit of the chunk
+    len_at = np.empty(nbits, dtype=np.uint8)
+    for lo in range(0, nbits, _LOOKUP_BLOCK):
+        np.take(tlen, windows[lo:lo + _LOOKUP_BLOCK],
+                out=len_at[lo:lo + _LOOKUP_BLOCK])
+    min_len = int(len_at.min())
+    if min_len == 0:
+        raise CodecError("corrupt Huffman stream: unknown code window")
+    # nxt[p] = bit offset of the following symbol; sentinel self-loop at
+    # the end, which only the last max_len offsets can overrun
+    nxt = np.arange(nbits + 1,
+                    dtype=np.int32 if nbits < 2**31 - 64 else np.int64)
+    nxt[:nbits] += len_at
+    tail = nxt[max(0, nbits - max_len):]
+    np.minimum(tail, nbits, out=tail)
+    positions = _segment_walk(nxt, nbits, min_len)
+    if positions is None:
+        positions = _doubling_walk(nxt, nsyms)
+        if int(positions[-1]) >= nbits:
+            raise CodecError("Huffman stream too short for symbol count")
+    elif positions.size < nsyms:
         raise CodecError("Huffman stream too short for symbol count")
-    out = sym_at[positions]
-    end = positions[-1] + len_at[positions[-1]]
-    if int(end) != nbits:
+    elif positions.size > nsyms:
         raise CodecError("Huffman chunk bit-length mismatch")
-    return out
+    last = int(positions[-1])
+    if last + int(len_at[last]) != nbits:
+        raise CodecError("Huffman chunk bit-length mismatch")
+    return tsym[windows[positions]]
+
+
+def _chunk_entries(enc: HuffmanEncoded) -> list[tuple[int, int, int, int]]:
+    """``(byte offset, bytes, bits, symbols)`` per chunk, after checking
+    the chunk table against the declared count and the payload size."""
+    nsyms_all = [int(n) for n in np.asarray(enc.chunk_symbols).reshape(-1)]
+    nbits_all = [int(n) for n in np.asarray(enc.chunk_bits).reshape(-1)]
+    if len(nsyms_all) != len(nbits_all):
+        raise CodecError("Huffman chunk tables differ in length")
+    entries: list[tuple[int, int, int, int]] = []
+    offset = 0
+    for nsyms, nbits in zip(nsyms_all, nbits_all):
+        # every symbol takes at least one bit
+        if not 0 <= nsyms <= nbits:
+            raise CodecError(f"corrupt Huffman chunk table: {nsyms} symbols "
+                             f"in {nbits} bits")
+        nbytes = (nbits + 7) // 8
+        entries.append((offset, nbytes, nbits, nsyms))
+        offset += nbytes
+    if sum(nsyms_all) != enc.count:
+        raise CodecError(f"Huffman chunk table holds {sum(nsyms_all)} "
+                         f"symbols, stream declares {enc.count}: count "
+                         "mismatch")
+    if offset != len(enc.payload):
+        raise CodecError(f"Huffman payload is {len(enc.payload)} bytes, its "
+                         f"chunk table spans {offset}")
+    return entries
 
 
 def decode(enc: HuffmanEncoded) -> np.ndarray:
     """Decode a :class:`HuffmanEncoded` stream back to symbols (uint32).
 
-    Every call runs the wavefront-doubling decode in full, so every
-    stream is validated against its own chunk tables: a payload, bit
-    count or symbol count that disagrees raises :class:`CodecError`.
-    Only the decode tables (keyed by the codebook lengths) are shared
-    between calls.
+    The chunk table is checked before any chunk is decoded: every chunk
+    must hold ``0 <= symbols <= bits``, the symbols must add up to the
+    declared count and the chunk byte spans to the payload size.  Every
+    call then decodes in full, so every stream is validated against its
+    own chunk tables: a payload, bit count or symbol count that disagrees
+    raises :class:`CodecError`.  Only the decode tables (keyed by the
+    codebook lengths) are shared between calls.
     """
     with span("kernel.huffman.decode", symbols=int(enc.count),
               bytes_in=len(enc.payload)) as sp:
+        entries = _chunk_entries(enc)
         book = warm_decode_book(enc.lengths, enc.max_len)
         tsym, tlen = book.decode_tables()
-        entries: list[tuple[int, int, int, int]] = []
-        offset = 0
-        for nsyms, nbits in zip(enc.chunk_symbols, enc.chunk_bits):
-            nbytes = (int(nbits) + 7) // 8
-            entries.append((offset, nbytes, int(nbits), int(nsyms)))
-            offset += nbytes
 
         def decode_one(entry: tuple[int, int, int, int]) -> np.ndarray:
             off, nbytes, nbits, nsyms = entry
@@ -420,9 +558,9 @@ def decode(enc: HuffmanEncoded) -> np.ndarray:
                                  nsyms, tsym, tlen, enc.max_len)
 
         # chunk boundaries are known up front (byte-aligned starts from
-        # the bit-count table), so under a thread budget the wavefront
-        # decodes run concurrently; concatenation in chunk order keeps
-        # the symbol stream identical to the serial loop
+        # the bit-count table), so under a thread budget the chunks
+        # decode concurrently; concatenation in chunk order keeps the
+        # symbol stream identical to the serial loop
         budget = active_threads()
         if budget > 1 and len(entries) > 1:
             parts = run_slabs(decode_one, entries, threads=budget)
@@ -430,8 +568,6 @@ def decode(enc: HuffmanEncoded) -> np.ndarray:
             parts = [decode_one(entry) for entry in entries]
         out = (np.concatenate(parts) if parts
                else np.zeros(0, dtype=np.uint32))
-        if out.size != enc.count:
-            raise CodecError("decoded symbol count mismatch")
         sp.set(bytes_out=int(out.nbytes))
         return out
 

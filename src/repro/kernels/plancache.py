@@ -18,7 +18,7 @@ Plans cached today
   (:func:`repro.kernels.huffman.build_codebook`), shared between the
   modular pipelines and the SZ3 baseline;
 * warmed decode books — a :class:`~repro.kernels.huffman.Codebook` with
-  its canonical codes *and* its ``2**max_len``-entry wavefront decode
+  its canonical codes *and* its ``2**max_len``-entry dense decode
   tables materialised — keyed by ``(lengths digest, max_len)``
   (:func:`repro.kernels.huffman.decode`);
 * resolved module tables for header-driven decompression, keyed by the
@@ -272,7 +272,7 @@ _CACHES: dict[str, PlanCache] = {}
 #: Huffman codebooks built from histograms (encode-side plans)
 CODEBOOK_CACHE = PlanCache("huffman.codebook")
 
-#: decode books: Codebook + canonical codes + dense wavefront tables
+#: decode books: Codebook + canonical codes + dense decode tables
 #: (a 2**16-entry table pair is ~325 KiB, so ~48 warm books fit the budget)
 DECODE_TABLE_CACHE = PlanCache("huffman.decode_tables", max_entries=48,
                                max_bytes=32 << 20)

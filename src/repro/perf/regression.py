@@ -72,8 +72,9 @@ def best_seconds(fn: Callable[[], object], *,
     The estimator for *small* deltas: scheduler noise and cache effects
     only ever add time, so the minimum of each arm converges on the true
     cost where a median still carries several percent of jitter — too
-    much when the quantity being gated is itself a few percent (the
-    sampling-profiler overhead budget).
+    much when the quantity being gated is itself a few percent.  For two
+    arms on fresh inputs use :func:`paired_overhead`, which times both on
+    the same input.
     """
     result = None
     for _ in range(max(0, warmup)):
@@ -91,7 +92,6 @@ def fresh_seconds(arms: dict[str, Callable[[object], object]],
                   warmup: int = DEFAULT_WARMUP,
                   repeat: int = DEFAULT_REPEAT,
                   setup: dict[str, Callable[[], None]] | None = None,
-                  reduce: Callable[[list[float]], float] = statistics.median,
                   ) -> dict[str, tuple[float, object, object]]:
     """Interleaved wall times of ``arms``, each call on a new input.
 
@@ -100,10 +100,8 @@ def fresh_seconds(arms: dict[str, Callable[[object], object]],
     land on all arms alike; the first ``warmup`` rounds are discarded.
     ``make_input`` and then the arm's ``setup`` run untimed before every
     call (in that order, so a setup that clears caches is not undone by
-    building the input).  ``reduce`` turns each arm's ``repeat`` timings
-    into one number: the median by default, ``min`` for deltas of a few
-    percent (see :func:`best_seconds`).  Returns ``{arm: (seconds,
-    last_input, last_result)}``.
+    building the input).  Returns ``{arm: (median seconds, last_input,
+    last_result)}``.
     """
     warmup = max(0, warmup)
     setup = setup or {}
@@ -121,7 +119,44 @@ def fresh_seconds(arms: dict[str, Callable[[object], object]],
             if k >= warmup:
                 times[name].append(elapsed)
             last[name] = (x, result)
-    return {name: (reduce(times[name]),) + last[name] for name in names}
+    return {name: (statistics.median(times[name]),) + last[name]
+            for name in names}
+
+
+def paired_overhead(fn: Callable[[object], object],
+                    make_input: Callable[[], object], *,
+                    enable: Callable[[], None], disable: Callable[[], None],
+                    warmup: int = DEFAULT_WARMUP,
+                    repeat: int = DEFAULT_REPEAT,
+                    ) -> tuple[float, list[float], tuple[object, object]]:
+    """Median relative cost of ``enable`` over ``disable`` for ``fn``.
+
+    Every round draws one new ``x = make_input()`` and times ``fn(x)``
+    four times in ABBA order (off, on, on, off), calling ``enable`` or
+    ``disable`` untimed before each call.  Both arms see the same input,
+    and each runs once first and once last on it, so neither the input's
+    content nor what the first call leaves warm (a codebook built from
+    the same histogram) favours one arm.  A round's overhead is its
+    on-time over its off-time, minus one; the first ``warmup`` rounds are
+    discarded.  Returns the median overhead (negative when the on arm was
+    faster: noise is reported, not clamped), every round's overhead, and
+    the last round's ``(off, on)`` results, which came from one input.
+    """
+    overheads: list[float] = []
+    results: dict[bool, object] = {}
+    for k in range(max(0, warmup) + max(1, repeat)):
+        x = make_input()
+        spent = {False: 0.0, True: 0.0}
+        for on in (False, True, True, False):
+            (enable if on else disable)()
+            t0 = time.perf_counter()
+            results[on] = fn(x)
+            spent[on] += time.perf_counter() - t0
+        disable()
+        if k >= warmup:
+            overheads.append(spent[True] / spent[False] - 1.0)
+    return (statistics.median(overheads), overheads,
+            (results[False], results[True]))
 
 
 def _bench_field(shape: tuple[int, ...], seed: int) -> np.ndarray:
@@ -416,23 +451,18 @@ def run_hotpath_suite(*, quick: bool = False,
     }
 
     # ---- sampling profiler overhead (telemetry on in both arms, so the
-    # measured delta is the sampler thread + registry mirror alone;
-    # best-of-N at the shipped FZMOD_PROFILE interval, because the budget
-    # being gated is smaller than one run's median-timing jitter) ------- #
+    # measured delta is the sampler thread + registry mirror alone; both
+    # arms on the same fresh field per round, median of the per-round
+    # ratios, at the shipped FZMOD_PROFILE interval) --------------------- #
     from ..obs.profile import DEFAULT_INTERVAL, Profiler
 
     prof = Profiler(interval=DEFAULT_INTERVAL)
     prev = set_telemetry(True)
     try:
         GLOBAL_TRACER.clear()
-        timed = fresh_seconds({"off": compress1, "on": compress1},
-                              fresh_field, warmup=warm_up,
-                              repeat=max(rep, 5), reduce=min,
-                              setup={"off": prof.stop, "on": prof.start})
-        prof.stop()
-        prof_off_s, prof_on_s = timed["off"][0], timed["on"][0]
-        _, x_on, cf_prof_on = timed["on"]
-        cf_prof_off = compress1(x_on)
+        overhead, rounds, (cf_prof_off, cf_prof_on) = paired_overhead(
+            compress1, fresh_field, enable=prof.start, disable=prof.stop,
+            warmup=warm_up, repeat=max(rep, 5))
     finally:
         prof.stop()
         set_telemetry(prev)
@@ -441,9 +471,8 @@ def run_hotpath_suite(*, quick: bool = False,
         "interval_s": prof.interval,
         "samples": prof.sample_count,
         "distinct_stacks": len(prof.samples),
-        "warm_off_s": prof_off_s,
-        "warm_on_s": prof_on_s,
-        "overhead_fraction": max(0.0, prof_on_s / prof_off_s - 1.0),
+        "round_overheads": rounds,
+        "overhead_fraction": overhead,
         "blob_identical": cf_prof_on.blob == cf_prof_off.blob,
     }
 

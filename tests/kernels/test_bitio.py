@@ -11,6 +11,21 @@ from repro.errors import CodecError
 from repro.kernels import bitio
 
 
+def _bit_expansion_pack(codes: np.ndarray, lengths: np.ndarray
+                        ) -> tuple[bytes, int]:
+    """The former ``pack_varlen``: one array element per output bit,
+    packed with ``np.packbits``.  Kept as the byte-identity oracle."""
+    codes = np.asarray(codes, dtype=np.uint32)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total_bits = int(lengths.sum())
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    sym_of_bit = np.repeat(np.arange(codes.size, dtype=np.int64), lengths)
+    bit_in_sym = np.arange(total_bits, dtype=np.int64) - np.repeat(starts, lengths)
+    shift = (lengths[sym_of_bit] - 1 - bit_in_sym).astype(np.uint32)
+    bits = ((codes[sym_of_bit] >> shift) & np.uint32(1)).astype(np.uint8)
+    return np.packbits(bits).tobytes(), total_bits
+
+
 class TestPackVarlen:
     def test_single_symbol(self):
         payload, bits = bitio.pack_varlen(np.array([0b101], dtype=np.uint32),
@@ -50,6 +65,25 @@ class TestPackVarlen:
         payload, bits = bitio.pack_varlen(codes, lengths)
         assert bits == int(lengths.sum())
         assert len(payload) == (bits + 7) // 8
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5000),
+           st.integers(1, 32))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_to_bit_expansion(self, seed, n, max_len):
+        # random lengths 1..max_len, and codes with garbage above their
+        # length, which must not leak into the stream
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, max_len + 1, n)
+        codes = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+        assert (bitio.pack_varlen(codes, lengths)
+                == _bit_expansion_pack(codes, lengths))
+
+    def test_byte_identical_on_long_codes(self, rng):
+        lengths = rng.integers(25, 33, 20_000)
+        codes = rng.integers(0, 2**32, lengths.size,
+                             dtype=np.uint64).astype(np.uint32)
+        assert (bitio.pack_varlen(codes, lengths)
+                == _bit_expansion_pack(codes, lengths))
 
 
 class TestUnpackWindows:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from repro.perf.regression import (TARGET_COMPILED_DECODE,
                                    TARGET_WARM_SHARDED, _traced_stages,
                                    best_seconds, check_regressions,
                                    check_results, diff, fresh_seconds,
-                                   median_seconds, render_diff,
+                                   median_seconds, paired_overhead,
+                                   render_diff,
                                    render_report, run_hotpath_suite,
                                    write_report)
 
@@ -73,10 +75,50 @@ class TestMedianSeconds:
         assert timed["a"][1:] == (4, 40) and timed["b"][1:] == (5, 500)
         assert timed["a"][0] >= 0.0 and timed["b"][0] >= 0.0
 
-    def test_fresh_seconds_reduce(self):
-        timed = fresh_seconds({"a": lambda x: None}, lambda: 0, warmup=0,
-                              repeat=3, reduce=lambda ts: -len(ts))
-        assert timed["a"][0] == -3                   # 3 timed, no warmup
+
+class TestPairedOverhead:
+    def test_both_arms_share_each_rounds_input_in_abba_order(self):
+        state = {"on": False}
+        calls = []
+        inputs = iter(range(100))
+
+        def fn(x):
+            calls.append((x, state["on"]))
+            return (x, state["on"])
+
+        overhead, rounds, (off, on) = paired_overhead(
+            fn, lambda: next(inputs),
+            enable=lambda: state.update(on=True),
+            disable=lambda: state.update(on=False), warmup=1, repeat=2)
+        assert calls == [(x, on) for x in range(3)
+                         for on in (False, True, True, False)]
+        assert len(rounds) == 2                      # warmup round dropped
+        assert off == (2, False) and on == (2, True)
+        assert state["on"] is False                  # left disabled
+        assert overhead == pytest.approx(np.median(rounds))
+
+    def test_measures_the_enabled_cost_and_keeps_its_sign(self,
+                                                          monkeypatch):
+        # a fake clock: the on arm costs 3 ticks, the off arm 2
+        clock = [0.0]
+        state = {"on": False}
+        monkeypatch.setattr(regression, "time",
+                            types.SimpleNamespace(perf_counter=lambda: clock[0]))
+
+        def fn(x):
+            clock[0] += 3.0 if state["on"] else 2.0
+
+        def run(enable_to):
+            return paired_overhead(
+                fn, lambda: 0, enable=lambda: state.update(on=enable_to),
+                disable=lambda: state.update(on=not enable_to),
+                warmup=0, repeat=3)
+
+        overhead, rounds, _ = run(True)
+        assert overhead == pytest.approx(0.5)
+        assert rounds == pytest.approx([0.5] * 3)
+        faster, _, _ = run(False)
+        assert faster == pytest.approx(2 / 3 - 1)    # not clamped to 0
 
 
 def _fake_report(warm_d=1.0, cold_d=2.0, warm_c=1.0, cold_c=2.0,

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro.baselines import get_compressor
 from repro.core import decompress, fzmod_default, fzmod_speed
-from repro.errors import FZModError
+from repro.core.header import assemble, parse, split_sections
+from repro.core.modules_std import (HuffmanEncoder, LorenzoPredictor,
+                                    RelEbPreprocess, StandardHistogram)
+from repro.core.pipeline import Pipeline
+from repro.errors import CodecError, FZModError
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +81,85 @@ class TestCrossContainerConfusion:
         from repro.core.stf_pipeline import StfDefaultPipeline
         with pytest.raises(FZModError):
             StfDefaultPipeline().decompress(blob)  # wrong pipeline: loud
+
+
+class TestHuffmanChunkTableTamper:
+    """A chunk table that lies about its chunks must raise a
+    :class:`CodecError` before any chunk is decoded.
+
+    Each mutation is applied to the Huffman sections of a real multi-chunk
+    FZMD container, which is then re-sealed with fresh CRCs so the
+    container checks pass and the tampered table reaches the decoder.
+    """
+
+    @pytest.fixture(scope="class")
+    def chunked(self):
+        rng = np.random.default_rng(11)
+        data = np.cumsum(rng.standard_normal((48, 64)), axis=0)
+        pipe = Pipeline(preprocess=RelEbPreprocess(),
+                        predictor=LorenzoPredictor(),
+                        statistics=StandardHistogram(),
+                        encoder=HuffmanEncoder(chunk=300))
+        blob = pipe.compress(data.astype(np.float32), 1e-3).blob
+        assert parse(blob)[0].stage_meta["encoder"]["nchunks"] >= 4
+        return blob
+
+    @staticmethod
+    def _reseal(blob: bytes, mutate) -> bytes:
+        header, body = parse(blob)          # no secondary: body is raw
+        assert header.modules["secondary"] == "none"
+        sections = {k: bytes(v) for k, v in
+                    split_sections(header, body).items()}
+        table = {k: np.frombuffer(sections[k], dtype=np.int64).copy()
+                 for k in ("enc.chunk_syms", "enc.chunk_bits")}
+        payload = mutate(table["enc.chunk_syms"], table["enc.chunk_bits"],
+                         sections["enc.payload"])
+        sections["enc.payload"] = payload
+        for k, arr in table.items():
+            sections[k] = arr.tobytes()
+        _, new_body = assemble(header, sections)
+        header_bytes, _ = assemble(header, sections, stored_body=new_body)
+        return header_bytes + new_body
+
+    def test_untampered_reseal_decodes(self, chunked):
+        resealed = self._reseal(chunked, lambda syms, bits, payload: payload)
+        assert np.array_equal(decompress(resealed), decompress(chunked))
+
+    def _negative_symbols(syms, bits, payload):
+        syms[1] = -syms[1]
+        return payload
+
+    def _negative_bits(syms, bits, payload):
+        bits[1] = -bits[1]
+        return payload
+
+    def _huge_symbols(syms, bits, payload):
+        syms[0] = 10**12
+        return payload
+
+    def _trailing_bytes(syms, bits, payload):
+        return payload + b"\x00\x00\x00"
+
+    def _short_payload(syms, bits, payload):
+        return payload[:-1]
+
+    def _symbols_without_bits(syms, bits, payload):
+        bits[-1], syms[-1] = 0, 1
+        return payload
+
+    def _count_disagrees(syms, bits, payload):
+        syms[0] -= 1
+        return payload
+
+    def _symbols_moved_between_chunks(syms, bits, payload):
+        syms[0] -= 1
+        syms[1] += 1
+        return payload
+
+    @pytest.mark.parametrize("mutate", [
+        _negative_symbols, _negative_bits, _huge_symbols, _trailing_bytes,
+        _short_payload, _symbols_without_bits, _count_disagrees,
+        _symbols_moved_between_chunks], ids=lambda f: f.__name__.strip("_"))
+    def test_mutation_raises_codec_error(self, chunked, mutate):
+        with pytest.raises(CodecError):
+            decompress(self._reseal(chunked, mutate))
